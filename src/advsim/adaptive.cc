@@ -3,484 +3,10 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "common/timer.h"
+#include "sim/driver.h"
 #include "sim/validator.h"
 
 namespace otsched {
-namespace {
-
-class AdaptiveEngine final : public EngineBackend {
- public:
-  AdaptiveEngine(Scheduler& scheduler, const AdaptiveAdversaryOptions& options,
-                 const RunContext& context)
-      : scheduler_(scheduler),
-        observer_(context.observer),
-        batch_capacity_(context.batch_capacity),
-        sequencer_(context.options.faults, options.m),
-        job_faults_(context.options.job_faults),
-        m_(options.m),
-        layers_(options.layers_per_job > 0 ? options.layers_per_job
-                                           : options.m),
-        width_(options.m + 1),
-        gap_(options.gap > 0 ? options.gap : options.m + 2),
-        num_jobs_(options.num_jobs) {
-    OTSCHED_CHECK(m_ >= 2);
-    OTSCHED_CHECK(num_jobs_ >= 1);
-    OTSCHED_CHECK(layers_ >= 1);
-    record_full_ = context.options.record == RecordMode::kFull;
-    capacity_ = m_;
-    if (sequencer_.active()) {
-      OTSCHED_CHECK(scheduler.supports_fluctuating_capacity(),
-                    "scheduler '" << scheduler.name()
-                                  << "' does not support a fluctuating "
-                                     "per-slot capacity (fault model "
-                                  << ToString(context.options.faults.model)
-                                  << ")");
-    }
-    if (job_faults_.active()) {
-      OTSCHED_CHECK(context.options.record == RecordMode::kFlowOnly,
-                    "job faults (model "
-                        << ToString(context.options.job_faults.model)
-                        << ") require RecordMode::kFlowOnly: re-executed "
-                           "subjobs are unrepresentable in a materialized "
-                           "Schedule");
-      OTSCHED_CHECK(scheduler.supports_fluctuating_capacity(),
-                    "scheduler '" << scheduler.name()
-                                  << "' does not support job faults "
-                                     "(job-fault model "
-                                  << ToString(context.options.job_faults.model)
-                                  << "): rollbacks invalidate precomputed "
-                                     "window plans");
-      OTSCHED_CHECK(scheduler.supports_job_rollback(),
-                    "scheduler '" << scheduler.name()
-                                  << "' does not support job faults "
-                                     "(job-fault model "
-                                  << ToString(context.options.job_faults.model)
-                                  << "): its internal queues would dispatch "
-                                     "rolled-back subjobs");
-    }
-    const bool faulted = sequencer_.active() || job_faults_.active();
-    const Time horizon_override = context.options.max_horizon > 0
-                                      ? context.options.max_horizon
-                                      : options.max_horizon;
-    max_horizon_ = horizon_override > 0
-                       ? horizon_override
-                       : (num_jobs_ * gap_ +
-                          (faulted ? 64 : 8) * num_jobs_ *
-                              layers_ * width_ +
-                          (faulted ? 65536 : 1024));
-  }
-
-  AdaptiveAdversaryResult run();
-
-  /// All jobs finished (the adversary's termination condition is
-  /// finished jobs, not executed work: layers open lazily, so total
-  /// work is only known once every key has been crowned).
-  bool idle() const { return finished_jobs_ == num_jobs_; }
-
-  // --- EngineBackend ---
-  Time slot() const override { return slot_; }
-  int m() const override { return m_; }
-  int capacity() const override { return capacity_; }
-  JobId job_count() const override {
-    return static_cast<JobId>(num_jobs_);
-  }
-  std::span<const JobId> alive() const override { return alive_; }
-  Time release(JobId id) const override { return id * gap_; }
-  bool arrived(JobId id) const override { return release(id) < slot_; }
-  bool finished(JobId id) const override {
-    return jobs_[static_cast<std::size_t>(id)].done_layers == layers_;
-  }
-  std::span<const NodeId> ready(JobId id) const override {
-    const JobState& job = jobs_[static_cast<std::size_t>(id)];
-    if (!arrived(id) || job.done_layers == layers_ || !job.layer_open) {
-      return {};
-    }
-    return job.ready;
-  }
-  std::int64_t remaining_work(JobId id) const override {
-    return static_cast<std::int64_t>(layers_) * width_ -
-           jobs_[static_cast<std::size_t>(id)].done_nodes;
-  }
-  std::int64_t done_work(JobId id) const override {
-    return jobs_[static_cast<std::size_t>(id)].done_nodes;
-  }
-  bool executed(JobId id, NodeId v) const override {
-    const JobState& job = jobs_[static_cast<std::size_t>(id)];
-    return v >= 0 && static_cast<std::size_t>(v) < job.executed.size() &&
-           job.executed[static_cast<std::size_t>(v)] != 0;
-  }
-  const Dag& dag(JobId) const override {
-    OTSCHED_CHECK(false,
-                  "the adaptive adversary plays non-clairvoyant schedulers "
-                  "only; job DAGs do not exist until the run finishes");
-  }
-  const DagMetrics& metrics(JobId) const override {
-    OTSCHED_CHECK(false, "no metrics in the adaptive environment");
-  }
-  bool clairvoyant_allowed() const override { return false; }
-
- private:
-  struct JobState {
-    int done_layers = 0;
-    bool layer_open = false;       // current layer's subjobs are ready
-    std::vector<NodeId> ready;     // unexecuted nodes of the open layer
-    std::vector<char> executed;    // over all layers_ * width_ node ids
-    std::int64_t done_nodes = 0;
-    std::vector<NodeId> keys;      // chosen key per finished layer
-    Time completion = kNoTime;
-    // Job faults only (sized in begin() when a spec is active): the
-    // checkpoint snapshot.  Closed layers are always committed (layer
-    // completion is an implicit commit — crowned keys are never
-    // un-crowned), so volatile work lives in the open layer only.
-    std::vector<char> committed;
-    std::int64_t committed_nodes = 0;
-  };
-
-  void open_next_layer(JobId id);
-  std::int64_t commit_job(JobId id);
-  std::int64_t rollback_job(JobId id);
-
-  // The tick shape (mirrors SimDriver's begin/advance/drain): begin()
-  // arms the run, step_slot() simulates exactly one slot, finalize()
-  // materializes the instance and proves consistency.  run() is the
-  // thin driver loop over them.
-  void begin();
-  void step_slot(const SchedulerView& view);
-  AdaptiveAdversaryResult finalize();
-
-  Scheduler& scheduler_;
-  RunObserver* observer_ = nullptr;  // borrowed; null = uninstrumented run
-  std::size_t batch_capacity_;       // event-ring size (RunContext)
-  SlotEventEmitter emitter_;         // batched event stream writer
-  bool time_picks_ = false;          // observer wants pick_seconds?
-  BudgetSequencer sequencer_;        // per-slot capacity source
-  int capacity_ = 1;                 // current slot's budget, m_t <= m
-  JobFaultSequencer job_faults_;     // per-(slot, job) crash/commit source
-  std::int64_t committed_total_ = 0; // engine-wide committed frontier
-  std::int64_t job_rollbacks_ = 0;
-  std::int64_t wasted_subjob_slots_ = 0;
-  std::int64_t checkpoints_ = 0;     // interval-policy commits only
-  bool record_full_ = true;          // materialize the Schedule?
-  int m_;
-  int layers_;
-  int width_;   // m + 1 subjobs per layer
-  Time gap_;
-  std::int64_t num_jobs_;
-  Time max_horizon_ = 0;
-
-  Time slot_ = 0;
-  Time last_busy_slot_ = 0;          // online horizon (== schedule horizon)
-  std::int64_t executed_total_ = 0;
-  std::int64_t busy_slots_ = 0;
-  std::vector<JobState> jobs_;
-  std::vector<JobId> alive_;
-  std::int64_t next_arrival_ = 0;
-  std::int64_t finished_jobs_ = 0;
-  std::int64_t max_alive_ = 0;
-  std::optional<Schedule> schedule_;  // record_full_ only
-
-  // Per-slot scratch (members so step_slot never reallocates).
-  std::vector<SubjobRef> picks_;
-  std::vector<std::pair<JobId, NodeId>> last_in_layer_;
-  std::vector<JobId> completed_now_;  // observer-only
-};
-
-void AdaptiveEngine::open_next_layer(JobId id) {
-  JobState& job = jobs_[static_cast<std::size_t>(id)];
-  OTSCHED_CHECK(!job.layer_open);
-  OTSCHED_CHECK(job.done_layers < layers_);
-  job.layer_open = true;
-  job.ready.clear();
-  const NodeId base = static_cast<NodeId>(job.done_layers) * width_;
-  for (NodeId v = base; v < base + width_; ++v) job.ready.push_back(v);
-}
-
-std::int64_t AdaptiveEngine::commit_job(JobId id) {
-  JobState& job = jobs_[static_cast<std::size_t>(id)];
-  const std::int64_t newly = job.done_nodes - job.committed_nodes;
-  if (newly == 0) return 0;
-  job.committed = job.executed;
-  job.committed_nodes = job.done_nodes;
-  return newly;
-}
-
-std::int64_t AdaptiveEngine::rollback_job(JobId id) {
-  JobState& job = jobs_[static_cast<std::size_t>(id)];
-  const std::int64_t wasted = job.done_nodes - job.committed_nodes;
-  if (wasted == 0) return 0;
-  job.executed = job.committed;
-  job.done_nodes = job.committed_nodes;
-  // All volatile work lives in the open layer (closed layers committed
-  // on completion): the ready list becomes the layer's uncommitted
-  // nodes, in increasing node id — the rollback determinism contract
-  // (sim/ready_state.h).
-  OTSCHED_DCHECK(job.layer_open);
-  job.ready.clear();
-  const NodeId base = static_cast<NodeId>(job.done_layers) * width_;
-  for (NodeId v = base; v < base + width_; ++v) {
-    if (!job.executed[static_cast<std::size_t>(v)]) job.ready.push_back(v);
-  }
-  executed_total_ -= wasted;
-  return wasted;
-}
-
-void AdaptiveEngine::begin() {
-  jobs_.assign(static_cast<std::size_t>(num_jobs_), JobState{});
-  for (JobState& job : jobs_) {
-    job.executed.assign(
-        static_cast<std::size_t>(layers_) * static_cast<std::size_t>(width_),
-        0);
-    if (job_faults_.active()) job.committed = job.executed;
-  }
-  scheduler_.reset(m_, static_cast<JobId>(num_jobs_));
-  if (record_full_) schedule_.emplace(m_);
-  emitter_.reset(this, observer_, batch_capacity_);
-  time_picks_ = observer_ != nullptr && observer_->wants_pick_timing();
-  if (observer_ != nullptr) observer_->on_run_begin(*this);
-  slot_ = 1;
-}
-
-void AdaptiveEngine::step_slot(const SchedulerView& view) {
-  if (alive_.empty() && next_arrival_ < num_jobs_) {
-    slot_ = std::max(slot_, next_arrival_ * gap_ + 1);
-  }
-  OTSCHED_CHECK(slot_ <= max_horizon_,
-                "scheduler '" << scheduler_.name()
-                              << "' exceeded the adversary horizon");
-  if (emitter_.active()) emitter_.slot_begin(slot_);
-  while (next_arrival_ < num_jobs_ && next_arrival_ * gap_ < slot_) {
-    const JobId id = static_cast<JobId>(next_arrival_++);
-    alive_.push_back(id);
-    open_next_layer(id);
-    scheduler_.on_arrival(id, view);
-    if (emitter_.active()) emitter_.arrival(slot_, id);
-  }
-  max_alive_ = std::max(max_alive_, static_cast<std::int64_t>(alive_.size()));
-
-  if (sequencer_.active()) {
-    // Same resolution point as the fixed-instance engines: after the
-    // slot's arrivals, before the pick.  The adversarial-dip model
-    // feeds on the same alive counter the Section 4 argument tracks.
-    const int cap = sequencer_.capacity(
-        slot_, static_cast<std::int64_t>(alive_.size()));
-    if (cap != capacity_) {
-      capacity_ = cap;
-      if (emitter_.active()) emitter_.capacity_change(slot_, capacity_);
-    }
-  }
-
-  if (job_faults_.active()) {
-    // The ROLLBACK step (sim/job_faults.h slot protocol), at the same
-    // point as the fixed-instance engines: after arrivals and capacity,
-    // before the pick.
-    for (const JobId id : alive_) {
-      const JobState& job = jobs_[static_cast<std::size_t>(id)];
-      const std::int64_t volatile_work = job.done_nodes - job.committed_nodes;
-      if (volatile_work <= 0) continue;
-      if (!job_faults_.crashes(slot_, id, release(id), volatile_work)) {
-        continue;
-      }
-      const std::int64_t wasted = rollback_job(id);
-      ++job_rollbacks_;
-      wasted_subjob_slots_ += wasted;
-      if (emitter_.active()) {
-        emitter_.rollback(slot_, id, wasted, committed_total_);
-      }
-    }
-  }
-
-  picks_.clear();
-  double pick_seconds = 0.0;
-  if (time_picks_) {
-    WallTimer pick_timer;
-    scheduler_.pick(view, picks_);
-    pick_seconds = pick_timer.elapsed_seconds();
-  } else {
-    scheduler_.pick(view, picks_);
-  }
-  OTSCHED_CHECK(static_cast<int>(picks_.size()) <= capacity_,
-                "scheduler picked " << picks_.size() << " with capacity "
-                                    << capacity_ << " (m = " << m_
-                                    << ")");
-  if (emitter_.active()) {
-    // The pre-execution flush: nothing has mutated the ready sets the
-    // scheduler saw, so the state at delivery matches the historical
-    // per-pick hook (which fired here, before the validate/execute
-    // loop below); an invalid pick aborts in that loop, so observers
-    // never outlive one.
-    std::int64_t ready_width = 0;
-    for (const JobId id : alive_) {
-      ready_width += static_cast<std::int64_t>(ready(id).size());
-    }
-    emitter_.pick_block(slot_, picks_,
-                        static_cast<std::int64_t>(alive_.size()),
-                        ready_width, pick_seconds);
-  }
-
-  // Validate, execute, and track layer completions.
-  last_in_layer_.clear();
-  for (const SubjobRef& ref : picks_) {
-    OTSCHED_CHECK(ref.job >= 0 && ref.job < job_count(),
-                  "pick references unknown job " << ref.job);
-    JobState& job = jobs_[static_cast<std::size_t>(ref.job)];
-    OTSCHED_CHECK(arrived(ref.job), "picked before arrival");
-    // The node must be in the open layer's ready set.
-    auto it = std::find(job.ready.begin(), job.ready.end(), ref.node);
-    OTSCHED_CHECK(job.layer_open && it != job.ready.end(),
-                  "job " << ref.job << " node " << ref.node
-                         << " is not ready at slot " << slot_);
-    // Layers completed this slot only open AFTER the pick loop, so a
-    // key's children can never run in the slot the key completes —
-    // readiness is correct by construction.
-    job.ready.erase(it);
-    job.executed[static_cast<std::size_t>(ref.node)] = 1;
-    ++job.done_nodes;
-    ++executed_total_;
-    if (record_full_) schedule_->place(slot_, ref);
-    if (job.ready.empty()) {
-      last_in_layer_.emplace_back(ref.job, ref.node);
-    }
-  }
-  // Layers that completed this slot: crown the LAST pick of the layer
-  // in this slot as the key, then open the next layer (ready from the
-  // next slot).
-  for (const auto& [job_id, last_node] : last_in_layer_) {
-    JobState& job = jobs_[static_cast<std::size_t>(job_id)];
-    job.keys.push_back(last_node);
-    ++job.done_layers;
-    job.layer_open = false;
-    if (job_faults_.active()) {
-      // Layer completion is an implicit commit: the crowned key and its
-      // layer survive every future crash (keys are never un-crowned).
-      // Like the fixed-instance engines' finish-commit, it is free and
-      // not counted in the interval-checkpoint stat.
-      const std::int64_t newly = commit_job(job_id);
-      committed_total_ += newly;
-      if (emitter_.active()) {
-        emitter_.checkpoint(slot_, job_id, newly, committed_total_);
-      }
-    }
-    if (job.done_layers == layers_) {
-      job.completion = slot_;
-      ++finished_jobs_;
-      if (emitter_.active()) completed_now_.push_back(job_id);
-    } else {
-      open_next_layer(job_id);
-    }
-  }
-  if (job_faults_.active()) {
-    // The CHECKPOINT step: interval-policy commits at end of slot over
-    // the open layer's volatile nodes.
-    for (const JobId id : alive_) {
-      if (finished(id)) continue;
-      const JobState& job = jobs_[static_cast<std::size_t>(id)];
-      const std::int64_t volatile_work = job.done_nodes - job.committed_nodes;
-      if (!job_faults_.checkpoint_due(slot_, volatile_work)) continue;
-      const std::int64_t newly = commit_job(id);
-      committed_total_ += newly;
-      ++checkpoints_;
-      if (emitter_.active()) {
-        emitter_.checkpoint(slot_, id, newly, committed_total_);
-      }
-    }
-  }
-  if (emitter_.active() && !completed_now_.empty()) {
-    // Ascending job id, matching DeriveTrace's completion order.
-    std::sort(completed_now_.begin(), completed_now_.end());
-    for (const JobId id : completed_now_) {
-      emitter_.complete(slot_, id);
-    }
-    completed_now_.clear();
-  }
-  if (emitter_.active()) emitter_.slot_end();
-  if (!picks_.empty()) {
-    ++busy_slots_;
-    last_busy_slot_ = slot_;
-  }
-  std::erase_if(alive_, [this](JobId id) { return finished(id); });
-  ++slot_;
-}
-
-AdaptiveAdversaryResult AdaptiveEngine::finalize() {
-  AdaptiveAdversaryResult result;
-  result.schedule = std::move(schedule_);
-  result.certified_opt_upper = gap_;
-  result.max_alive = max_alive_;
-
-  // Materialize the instance with the chosen keys wired in.
-  for (std::int64_t j = 0; j < num_jobs_; ++j) {
-    const JobState& job = jobs_[static_cast<std::size_t>(j)];
-    Dag::Builder builder(static_cast<NodeId>(layers_) * width_);
-    for (int layer = 0; layer + 1 < layers_; ++layer) {
-      const NodeId key = job.keys[static_cast<std::size_t>(layer)];
-      const NodeId next_base = static_cast<NodeId>(layer + 1) * width_;
-      for (NodeId v = next_base; v < next_base + width_; ++v) {
-        builder.add_edge(key, v);
-      }
-    }
-    result.instance.add_job(Job(std::move(builder).build(), j * gap_,
-                                "adaptive-" + std::to_string(j)));
-    result.keys.push_back(job.keys);
-  }
-  result.instance.set_name("adaptive-adversary-m" + std::to_string(m_));
-
-  if (record_full_) {
-    // The produced schedule must be a feasible schedule of the
-    // materialized instance — this is the consistency proof of the
-    // adversary.  Flow-only runs skip it along with the schedule; every
-    // pick was still validated against the adversary's ready sets above.
-    const ValidationReport report =
-        ValidateSchedule(*result.schedule, result.instance);
-    OTSCHED_CHECK(report.feasible,
-                  "adaptive adversary inconsistency: " << report.violation);
-  }
-  // Flows are tracked online (JobState::completion is the slot the final
-  // layer finished, i.e. the job's last executed subjob), identically in
-  // both record modes; full-mode ComputeFlows over the schedule yields
-  // the same summary, as the adversary tests pin.
-  {
-    const std::size_t n = static_cast<std::size_t>(num_jobs_);
-    result.flows.completion.resize(n, kNoTime);
-    result.flows.flow.resize(n, kInfiniteTime);
-    for (JobId id = 0; id < job_count(); ++id) {
-      const std::size_t i = static_cast<std::size_t>(id);
-      result.flows.completion[i] = jobs_[i].completion;
-      result.flows.flow[i] = jobs_[i].completion - release(id);
-      if (result.flows.max_flow_job == kInvalidJob ||
-          result.flows.flow[i] > result.flows.max_flow) {
-        result.flows.max_flow = result.flows.flow[i];
-        result.flows.max_flow_job = id;
-      }
-    }
-  }
-  result.max_flow = result.flows.max_flow;
-  if (observer_ != nullptr) {
-    // Assemble the same on_finish payload Simulate would have produced
-    // for this run (schedule present only in full mode).
-    SimResult summary{result.schedule, result.flows, {}};
-    summary.stats.horizon = last_busy_slot_;
-    summary.stats.executed_subjobs = executed_total_;
-    summary.stats.idle_processor_slots =
-        static_cast<std::int64_t>(m_) * last_busy_slot_ - executed_total_ -
-        wasted_subjob_slots_;
-    summary.stats.busy_slots = busy_slots_;
-    summary.stats.job_rollbacks = job_rollbacks_;
-    summary.stats.wasted_subjob_slots = wasted_subjob_slots_;
-    summary.stats.checkpoints = checkpoints_;
-    observer_->on_finish(summary);
-  }
-  return result;
-}
-
-AdaptiveAdversaryResult AdaptiveEngine::run() {
-  begin();
-  SchedulerView view(*this);
-  while (!idle()) step_slot(view);
-  return finalize();
-}
-
-}  // namespace
 
 const Schedule& AdaptiveAdversaryResult::full_schedule() const {
   OTSCHED_CHECK(schedule.has_value(),
@@ -496,8 +22,81 @@ AdaptiveAdversaryResult RunAdaptiveAdversary(
                 "the adaptive adversary only plays non-clairvoyant "
                 "schedulers; '"
                     << scheduler.name() << "' declares clairvoyance");
-  AdaptiveEngine engine(scheduler, options, context);
-  return engine.run();
+  const int m = options.m;
+  const std::int64_t num_jobs = options.num_jobs;
+  const int layers = options.layers_per_job > 0 ? options.layers_per_job : m;
+  const NodeId width = m + 1;
+  const Time gap = options.gap > 0 ? options.gap : m + 2;
+  OTSCHED_CHECK(m >= 2);
+  OTSCHED_CHECK(num_jobs >= 1);
+  OTSCHED_CHECK(layers >= 1);
+
+  RunContext run = context;
+  run.options.clairvoyance = ClairvoyanceOverride::kDeny;
+  SimDriver driver(m, scheduler, run);
+
+  AdaptiveAdversaryResult result;
+  result.keys.resize(static_cast<std::size_t>(num_jobs));
+  // Finished jobs hand over their keys, then free their driver memory.
+  auto collect_keys = [&] {
+    for (const SimDriver::FinishedJob& done : driver.take_finished()) {
+      const std::span<const NodeId> keys = driver.layer_keys(done.job);
+      result.keys[static_cast<std::size_t>(done.job)].assign(keys.begin(),
+                                                             keys.end());
+    }
+    driver.retire_finished();
+  };
+
+  // Job j is submitted once the driver has simulated every slot up to
+  // its release, so only the live jobs are ever loaded.  advance() counts
+  // a fast-forward over an idle stretch as one slot; such a jump can only
+  // land on the previous release + 1, so the slot budget to this release
+  // runs from the later of now() and the previous release.
+  // Every gated job shares one edgeless DAG.
+  const Job shape(Dag::Builder(layers * width).build(), 0);
+  Time previous_release = 0;
+  for (JobId j = 0; j < num_jobs; ++j) {
+    const Time release = j * gap;
+    const Time budget = release - std::max(driver.now(), previous_release);
+    if (budget > 0) driver.advance(budget);
+    driver.submit(Job(shape, release), width);
+    previous_release = release;
+    collect_keys();
+  }
+  SimResult sim = driver.drain();
+  collect_keys();
+
+  // Materialize the instance with the chosen keys wired in.
+  for (JobId j = 0; j < num_jobs; ++j) {
+    const std::vector<NodeId>& keys = result.keys[static_cast<std::size_t>(j)];
+    OTSCHED_CHECK(static_cast<int>(keys.size()) == layers);
+    Dag::Builder builder(layers * width);
+    for (int layer = 0; layer + 1 < layers; ++layer) {
+      const NodeId next_base = (layer + 1) * width;
+      for (NodeId v = next_base; v < next_base + width; ++v) {
+        builder.add_edge(keys[static_cast<std::size_t>(layer)], v);
+      }
+    }
+    result.instance.add_job(Job(std::move(builder).build(), j * gap,
+                                "adaptive-" + std::to_string(j)));
+  }
+  result.instance.set_name("adaptive-adversary-m" + std::to_string(m));
+
+  result.schedule = std::move(sim.schedule);
+  if (result.schedule.has_value()) {
+    // The produced schedule must be a feasible schedule of the
+    // materialized instance — this is the consistency proof of the
+    // adversary.  Flow-only runs skip it along with the schedule; every
+    // pick was still validated against the gated ready sets.
+    const ValidationReport report =
+        ValidateSchedule(*result.schedule, result.instance);
+    OTSCHED_CHECK(report.feasible,
+                  "adaptive adversary inconsistency: " << report.violation);
+  }
+  result.flows = std::move(sim.flows);
+  result.max_flow = result.flows.max_flow;
+  result.certified_opt_upper = gap;
+  return result;
 }
 
 }  // namespace otsched

@@ -24,8 +24,11 @@
 // never gates anything the scheduler observed differently) — a property
 // the tests verify, mirroring the lbsim cross-validation.
 //
-// The backend rejects dag()/metrics() queries: the adversary is defined
-// for the non-clairvoyant information model only.
+// The run is a job source over SimDriver's streaming API: each job is a
+// layer-gated edgeless DAG (SimDriver::submit), so the adversary shares
+// the one slot loop -- fault models, observers and record modes
+// included.  The driver runs with ClairvoyanceOverride::kDeny: the
+// adversary is defined for the non-clairvoyant information model only.
 #pragma once
 
 #include "job/instance.h"
@@ -38,7 +41,6 @@ struct AdaptiveAdversaryOptions {
   std::int64_t num_jobs = 64;
   int layers_per_job = -1;  // -1 => m
   Time gap = -1;            // -1 => m + 2
-  Time max_horizon = 0;     // 0 => auto
 };
 
 struct AdaptiveAdversaryResult {
@@ -55,17 +57,15 @@ struct AdaptiveAdversaryResult {
   FlowSummary flows;
   Time max_flow = 0;
   Time certified_opt_upper = 0;  // = gap
-  std::int64_t max_alive = 0;
 
   /// The materialized schedule; aborts on a flow-only run.
   const Schedule& full_schedule() const;
 };
 
-/// Runs `scheduler` against the adaptive environment to completion,
-/// firing `context.observer`'s hooks exactly like Simulate does (the
-/// on_finish SimResult is assembled from the produced schedule).  A
-/// positive `context.options.max_horizon` overrides `options.max_horizon`.
-/// The ONLY entry point (same single-signature contract as Simulate).
+/// Runs `scheduler` against the adaptive environment to completion on a
+/// SimDriver, so `context` (options, observer, batch capacity) means
+/// exactly what it means for Simulate.  The ONLY entry point (same
+/// single-signature contract as Simulate).
 AdaptiveAdversaryResult RunAdaptiveAdversary(
     Scheduler& scheduler, const AdaptiveAdversaryOptions& options,
     const RunContext& context = {});

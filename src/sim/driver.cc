@@ -142,10 +142,12 @@ void SimDriver::warm_start(Time resume_slot) {
   max_release_ = resume_slot;  // horizon bound covers the resumed clock
 }
 
-JobId SimDriver::submit(Job job) {
+JobId SimDriver::submit(Job job, std::int32_t layer_width) {
   OTSCHED_CHECK(!finalized_, "submit after drain()");
   OTSCHED_CHECK(job.dag().node_count() >= 1,
                 "submitted job has no subjobs");
+  OTSCHED_CHECK(layer_width == 0 || job.dag().edge_count() == 0,
+                "a layer-gated job must have an edgeless DAG");
   OTSCHED_CHECK(job.release() >= now(),
                 "job submitted with release " << job.release()
                                               << " in the simulated past "
@@ -162,7 +164,10 @@ JobId SimDriver::submit(Job job) {
   flows_.add_job(ref.work(), ref.release());
   total_work_ += ref.work();
   max_release_ = std::max(max_release_, ref.release());
-  max_span_ = std::max(max_span_, ref.span());
+  // A gated job's span is its layer count; skipping span() also keeps its
+  // metrics uncomputed.
+  max_span_ = std::max(max_span_, layer_width > 0 ? ref.work() / layer_width
+                                                  : ref.span());
   if (job_faults_.active()) {
     arena_.enable_commit_tracking();  // idempotent; before the append so
                                       // the region grows the commit bitset
@@ -170,6 +175,7 @@ JobId SimDriver::submit(Job job) {
   }
   const JobId arena_id = arena_.append(ref.dag());
   OTSCHED_CHECK(arena_id == id);
+  if (layer_width > 0) arena_.gate(id, layer_width);
   late_arrivals_.emplace(ref.release(), id);
   track_finished_ = true;
   if (begun_) publish_hot();
@@ -382,26 +388,34 @@ Time SimDriver::run_slots(const SchedulerView& view, Time max_slots) {
       // against the pre-execution ready sets.
       ready_width_ += arena_.execute(*dags_[j], ref.job, ref.node);
       ++executed_total_;
-      if (arena_.done(ref.job) == work_[j]) {
-        std::int64_t job_wasted = 0;
+      if (arena_.ready(ref.job).empty()) {
+        // The job finished, or a layer-gated job closed a layer and the
+        // arena opened the next one.
+        const std::int32_t opened = arena_.close_block(ref.job, ref.node);
+        ready_width_ += opened;
         if (job_faults_.active()) {
-          // Implicit finish-commit: a finished job is never rolled back,
-          // so retire-on-finish recycling stays sound.  Not counted in
-          // stats.checkpoints (it is not an interval-policy commit).
+          // Implicit commit: a finished job is never rolled back, so
+          // retire-on-finish recycling stays sound, and a crowned key is
+          // never un-crowned, so a rollback only rebuilds the open layer.
+          // Not counted in stats.checkpoints (it is not an
+          // interval-policy commit).
           const std::int64_t newly = arena_.checkpoint(ref.job);
           committed_total_ += newly;
-          job_wasted = wasted_[j];
           if constexpr (kObserved) {
             emitter_.checkpoint(slot_, ref.job, newly, committed_total_);
           }
         }
-        ++finished_this_slot_;
-        if (track_finished_) {
-          finished_log_.push_back({ref.job, release_[j], slot_,
-                                   slot_ - release_[j], job_wasted});
-          retirable_.push_back(ref.job);
+        if (opened == 0) {
+          OTSCHED_DCHECK(arena_.done(ref.job) == work_[j]);
+          ++finished_this_slot_;
+          if (track_finished_) {
+            finished_log_.push_back(
+                {ref.job, release_[j], slot_, slot_ - release_[j],
+                 job_faults_.active() ? wasted_[j] : 0});
+            retirable_.push_back(ref.job);
+          }
+          if constexpr (kObserved) completed_now_.push_back(ref.job);
         }
-        if constexpr (kObserved) completed_now_.push_back(ref.job);
       }
       flows_.record(slot_, ref.job);
       if constexpr (kRecordFull) result_.schedule->place(slot_, ref);

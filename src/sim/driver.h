@@ -78,7 +78,13 @@ class SimDriver final : public EngineBackend {
   /// Submits one job (the driver takes ownership).  Valid before the
   /// first advance and between advances; the release must be >= now().
   /// Returns the job's dense id.  Enables finished-job tracking.
-  JobId submit(Job job);
+  ///
+  /// A positive `layer_width` submits a layer-gated job (the Section 4
+  /// adaptive adversary, src/advsim): its DAG must be edgeless, nodes
+  /// [k*W, (k+1)*W) form layer k, and layer k+1 becomes ready only once
+  /// every node of layer k ran.  The node that ran last is layer k's key
+  /// (layer_keys).  See the determinism contract in sim/ready_state.h.
+  JobId submit(Job job, std::int32_t layer_width = 0);
 
   /// Snapshot hook for the serve journal's rotation (serve/journal.h):
   /// positions a FRESH driver (nothing submitted, nothing advanced) so
@@ -132,6 +138,13 @@ class SimDriver final : public EngineBackend {
   /// stays 0 on healthy runs, where commit tracking is never enabled).
   /// Equals executed_subjobs at drain() — every job finish-commits.
   std::int64_t committed_frontier() const { return committed_total_; }
+
+  /// Keys of layer-gated job `id` so far: entry k is the node whose
+  /// execution closed layer k.  Read them before retire_finished()
+  /// recycles the job.
+  std::span<const NodeId> layer_keys(JobId id) const {
+    return arena_.keys(id);
+  }
 
   /// Arena introspection for the retire-on-finish memory bound: node
   /// slots currently backing the driver (live + recyclable).

@@ -28,10 +28,10 @@
 
 namespace otsched {
 
-/// Backend interface behind SchedulerView.  The standard Engine (below,
-/// fixed instances) and the adaptive adversary engine (src/advsim, lazily
-/// materialized instances) both implement it, so every Scheduler runs
-/// unchanged against either world.
+/// Backend interface behind SchedulerView.  SimDriver (sim/driver.h;
+/// fixed instances, streams, and the adaptive adversary's layer-gated
+/// jobs) + the ReferenceSimulate oracle implement it, so every Scheduler
+/// runs unchanged against either.
 class EngineBackend {
  public:
   virtual ~EngineBackend() = default;
@@ -59,9 +59,9 @@ class EngineBackend {
 /// ReadyArena in sim/ready_state.h) publishes them here so the accessors
 /// schedulers hammer in their inner loops — ready(), alive(),
 /// remaining_work() — compile to inline array reads instead of virtual
-/// calls.  Backends without flat state (reference, adaptive) pass null
-/// and SchedulerView falls back to the virtual EngineBackend, so every
-/// policy runs unchanged against either world.  The publishing engine
+/// calls.  The ReferenceSimulate oracle has no flat state and passes
+/// null; SchedulerView then falls back to the virtual EngineBackend, so
+/// every policy runs unchanged against either engine.  The publishing engine
 /// must refresh slot/capacity/alive each slot; the per-job pointers are
 /// stable for the whole run.
 struct EngineHotState {

@@ -153,9 +153,9 @@ struct SlotEvent {
 /// Default size of the per-run event ring (RunContext::batch_capacity).
 inline constexpr std::size_t kDefaultSlotBatchCapacity = 256;
 
-/// Streaming hooks fired by every engine (Simulate, ReferenceSimulate,
-/// and the advsim adaptive engine).  All hooks default to no-ops so sinks
-/// override only what they consume.
+/// Streaming hooks fired by SimDriver (Simulate, RunAdaptiveAdversary,
+/// serve) + the ReferenceSimulate oracle.  All hooks default to no-ops so
+/// sinks override only what they consume.
 class RunObserver {
  public:
   virtual ~RunObserver() = default;
@@ -321,9 +321,10 @@ class ObserverList final : public RunObserver {
   std::vector<RunObserver*> observers_;
 };
 
-/// Engine-side writer of the batched event stream.  All three engines
-/// append through this helper, so the flush discipline (and therefore
-/// the batch boundaries every observer sees) is identical everywhere.
+/// Engine-side writer of the batched event stream.  SimDriver + the
+/// ReferenceSimulate oracle append through this helper, so the flush
+/// discipline (and therefore the batch boundaries every observer sees)
+/// is identical everywhere.
 /// Inactive when no observer is attached: every append is behind one
 /// predictable `active()` branch at the call site.
 class SlotEventEmitter {
@@ -429,9 +430,10 @@ inline SimOptions FlowOnlyOptions() {
 
 /// Everything a run needs besides (instance, m, scheduler): the options,
 /// an optional borrowed observer, and the event-ring capacity.  The SOLE
-/// argument of Simulate / ReferenceSimulate / RunAdaptiveAdversary; bare
-/// SimOptions convert implicitly, so `Simulate(inst, m, s, options)` and
-/// `Simulate(inst, m, s)` still read naturally.
+/// argument of Simulate / RunAdaptiveAdversary (both on SimDriver) and
+/// the ReferenceSimulate oracle; bare SimOptions convert implicitly, so
+/// `Simulate(inst, m, s, options)` and `Simulate(inst, m, s)` still read
+/// naturally.
 struct RunContext {
   RunContext() = default;
   RunContext(const SimOptions& options, RunObserver* observer = nullptr,

@@ -189,89 +189,7 @@ void MetricsObserver::on_run_begin(const EngineBackend& engine) {
   }
 }
 
-void MetricsObserver::on_slot_begin(Time slot, const EngineBackend& engine) {
-  (void)slot;
-  (void)engine;
-  slots_visited_->inc();
-}
-
-void MetricsObserver::on_arrival(Time slot, JobId job) {
-  (void)slot;
-  (void)job;
-  arrivals_->inc();
-}
-
-void MetricsObserver::on_capacity_change(Time slot, int capacity) {
-  capacity_changes_->inc();
-  if (options_.record_series) {
-    // Sparse by construction: the hook only fires when the value changes,
-    // so the series is the capacity step function's breakpoints.
-    slot_capacity_->record(slot, capacity);
-  }
-}
-
-void MetricsObserver::record_pick(Time slot, std::int64_t picked,
-                                  std::int64_t alive,
-                                  std::int64_t ready_width,
-                                  double pick_seconds) {
-  picks_->inc();
-  alive_width_->set(static_cast<double>(alive));
-  ready_width_->set(static_cast<double>(ready_width));
-  if (options_.record_series) {
-    slot_busy_->record(slot, picked);
-    slot_idle_->record(slot, m_ - picked);
-    slot_ready_width_->record(slot, ready_width);
-    slot_alive_->record(slot, alive);
-  }
-  if (options_.record_pick_times) {
-    pick_seconds_->observe(pick_seconds);
-  }
-}
-
-void MetricsObserver::on_pick(Time slot, const EngineBackend& engine,
-                              std::span<const SubjobRef> picks,
-                              double pick_seconds) {
-  // Sampled post-arrival, pre-execution: exactly what the scheduler saw.
-  // The fine-grained hook recomputes the widths from the engine; the
-  // batch path below reads the identical values off the kPickBegin
-  // record (the engine maintains them incrementally).
-  const std::int64_t alive =
-      static_cast<std::int64_t>(engine.alive().size());
-  std::int64_t ready_width = 0;
-  for (const JobId id : engine.alive()) {
-    ready_width += static_cast<std::int64_t>(engine.ready(id).size());
-  }
-  record_pick(slot, static_cast<std::int64_t>(picks.size()), alive,
-              ready_width, pick_seconds);
-}
-
-void MetricsObserver::on_execute(Time slot, SubjobRef ref) {
-  (void)slot;
-  (void)ref;
-  executes_->inc();
-}
-
-void MetricsObserver::on_complete(Time slot, JobId job) {
-  (void)slot;
-  (void)job;
-  completions_->inc();
-}
-
-void MetricsObserver::on_rollback(Time slot, JobId job, std::int64_t wasted,
-                                  std::int64_t frontier) {
-  (void)slot;
-  (void)job;
-  (void)frontier;
-  rollbacks_->inc();
-  wasted_->inc(wasted);
-}
-
-void MetricsObserver::on_checkpoint(Time slot, JobId job,
-                                    std::int64_t committed,
-                                    std::int64_t frontier) {
-  (void)job;
-  (void)committed;
-  checkpoints_->inc();
+void MetricsObserver::record_frontier(Time slot, std::int64_t frontier) {
   if (committed_frontier_ == nullptr) return;
   if (pending_frontier_valid_ && slot != pending_frontier_slot_) {
     committed_frontier_->record(pending_frontier_slot_, pending_frontier_);
@@ -298,12 +216,29 @@ void MetricsObserver::on_slot_batch(const EngineBackend& engine,
         ++arrivals;
         break;
       case SlotEvent::Kind::kCapacityChange:
-        on_capacity_change(event.slot, event.value);
+        capacity_changes_->inc();
+        if (options_.record_series) {
+          // Sparse by construction: the event only fires when the value
+          // changes, so the series is the capacity step function's
+          // breakpoints.
+          slot_capacity_->record(event.slot, event.value);
+        }
         break;
       case SlotEvent::Kind::kPickBegin:
-        // alive/ready-width ride on the record: no engine sweep at all.
-        record_pick(event.slot, event.value, event.job, event.width,
-                    event.seconds);
+        // Sampled post-arrival, pre-execution: exactly what the scheduler
+        // saw.  alive/ready-width ride on the record: no engine sweep.
+        picks_->inc();
+        alive_width_->set(static_cast<double>(event.job));
+        ready_width_->set(static_cast<double>(event.width));
+        if (options_.record_series) {
+          slot_busy_->record(event.slot, event.value);
+          slot_idle_->record(event.slot, m_ - event.value);
+          slot_ready_width_->record(event.slot, event.width);
+          slot_alive_->record(event.slot, event.job);
+        }
+        if (options_.record_pick_times) {
+          pick_seconds_->observe(event.seconds);
+        }
         break;
       case SlotEvent::Kind::kExecute:
         ++executes;
@@ -312,10 +247,12 @@ void MetricsObserver::on_slot_batch(const EngineBackend& engine,
         ++completions;
         break;
       case SlotEvent::Kind::kRollback:
-        on_rollback(event.slot, event.job, event.value, event.width);
+        rollbacks_->inc();
+        wasted_->inc(event.value);
         break;
       case SlotEvent::Kind::kCheckpoint:
-        on_checkpoint(event.slot, event.job, event.value, event.width);
+        checkpoints_->inc();
+        record_frontier(event.slot, event.width);
         break;
     }
   }

@@ -69,12 +69,11 @@ void WriteManifest(MetricsRegistry& registry, const RunManifest& manifest);
 /// except the pick wall-time histogram is deterministic for a fixed
 /// (instance, policy, seed, m).
 ///
-/// Consumes batches natively (a custom on_slot_batch): metric handles
-/// are resolved ONCE in on_run_begin and the per-slot alive/ready-width
-/// figures are read off the kPickBegin record, so a batch costs a few
-/// pointer bumps per event instead of a name lookup per hook.  The
-/// fine-grained hooks remain implemented (and produce an identical
-/// registry) for sinks that replay batches through them.
+/// on_slot_batch is its only event consumer: metric handles are resolved
+/// ONCE in on_run_begin and the per-slot alive/ready-width figures are
+/// read off the kPickBegin record, so a batch costs a few pointer bumps
+/// per event instead of a name lookup per hook.  The fine-grained hooks
+/// are not overridden; replaying a batch through them records nothing.
 class MetricsObserver final : public RunObserver {
  public:
   struct Options {
@@ -90,17 +89,6 @@ class MetricsObserver final : public RunObserver {
   MetricsObserver(MetricsRegistry& registry, Options options);
 
   void on_run_begin(const EngineBackend& engine) override;
-  void on_slot_begin(Time slot, const EngineBackend& engine) override;
-  void on_arrival(Time slot, JobId job) override;
-  void on_capacity_change(Time slot, int capacity) override;
-  void on_pick(Time slot, const EngineBackend& engine,
-               std::span<const SubjobRef> picks, double pick_seconds) override;
-  void on_execute(Time slot, SubjobRef ref) override;
-  void on_complete(Time slot, JobId job) override;
-  void on_rollback(Time slot, JobId job, std::int64_t wasted,
-                   std::int64_t frontier) override;
-  void on_checkpoint(Time slot, JobId job, std::int64_t committed,
-                     std::int64_t frontier) override;
   void on_finish(const SimResult& result) override;
   void on_slot_batch(const EngineBackend& engine,
                      std::span<const SlotEvent> events) override;
@@ -109,11 +97,8 @@ class MetricsObserver final : public RunObserver {
   }
 
  private:
-  /// One pick's worth of metric updates, shared by the batch path and
-  /// the fine-grained on_pick (which recomputes alive/ready_width from
-  /// the engine the way the pre-batch observer did).
-  void record_pick(Time slot, std::int64_t picked, std::int64_t alive,
-                   std::int64_t ready_width, double pick_seconds);
+  /// Holds back a slot's last committed frontier (see the members below).
+  void record_frontier(Time slot, std::int64_t frontier);
 
   MetricsRegistry& registry_;
   Options options_;

@@ -8,12 +8,11 @@ namespace otsched {
 
 namespace {
 
-/// Copies bit range [base, end) from `src` into `dst`, leaving every
-/// other bit of the shared words untouched (neighbouring job regions
-/// share boundary words of the arena bitsets).
-void CopyRegionBits(std::vector<std::uint64_t>& dst,
-                    const std::vector<std::uint64_t>& src, std::int64_t base,
-                    std::int64_t end) {
+/// Calls op(word index, mask) for every word of an arena bitset that
+/// overlaps bit range [base, end), `mask` selecting the range's bits in
+/// that word (neighbouring job regions share boundary words).
+template <typename Op>
+void ForRegionWords(std::int64_t base, std::int64_t end, Op op) {
   if (base >= end) return;
   const std::int64_t w0 = base >> 6;
   const std::int64_t w1 = (end - 1) >> 6;
@@ -23,10 +22,24 @@ void CopyRegionBits(std::vector<std::uint64_t>& dst,
     if (w == w1 && (end & 63) != 0) {
       mask &= (std::uint64_t{1} << (end & 63)) - 1;
     }
-    dst[static_cast<std::size_t>(w)] =
-        (dst[static_cast<std::size_t>(w)] & ~mask) |
-        (src[static_cast<std::size_t>(w)] & mask);
+    op(static_cast<std::size_t>(w), mask);
   }
+}
+
+/// Copies bit range [base, end) from `src` into `dst`.
+void CopyRegionBits(std::vector<std::uint64_t>& dst,
+                    const std::vector<std::uint64_t>& src, std::int64_t base,
+                    std::int64_t end) {
+  ForRegionWords(base, end, [&](std::size_t w, std::uint64_t mask) {
+    dst[w] = (dst[w] & ~mask) | (src[w] & mask);
+  });
+}
+
+/// Clears bit range [base, end) of `bits`.
+void ClearRegionBits(std::vector<std::uint64_t>& bits, std::int64_t base,
+                     std::int64_t end) {
+  ForRegionWords(base, end,
+                 [&](std::size_t w, std::uint64_t mask) { bits[w] &= ~mask; });
 }
 
 }  // namespace
@@ -125,16 +138,10 @@ JobId ReadyArena::append(const Dag& dag) {
     pending[static_cast<std::size_t>(v)] = dag.in_degree(v);
     pos[static_cast<std::size_t>(v)] = kInvalidNode;
   }
-  for (std::int64_t nv = base; nv < base + n; ++nv) {
-    executed_[static_cast<std::size_t>(nv >> 6)] &=
-        ~(std::uint64_t{1} << (nv & 63));
-  }
+  ClearRegionBits(executed_, base, base + n);
   if (commit_tracking_) {
     committed_.resize(executed_.size(), 0);
-    for (std::int64_t nv = base; nv < base + n; ++nv) {
-      committed_[static_cast<std::size_t>(nv >> 6)] &=
-          ~(std::uint64_t{1} << (nv & 63));
-    }
+    ClearRegionBits(committed_, base, base + n);
     committed_done_.push_back(0);
   }
 
@@ -156,6 +163,7 @@ void ReadyArena::retire(JobId j) {
   // Under commit tracking a finished job must have been finish-committed
   // before its region is recycled (finished jobs are never rolled back).
   OTSCHED_DCHECK(!commit_tracking_ || committed_done_[i] == done_[i]);
+  if (i < gates_.size()) gates_[i] = Gate{};
   FreeRegion region{off_[i], nodes_[i]};
   if (region.size == 0) return;
   // Sorted insert + coalesce with both neighbours, so back-to-back
@@ -195,8 +203,10 @@ std::int32_t ReadyArena::activate(JobId j) {
   } else {
     // Appended job: scan the still-initial pending counters.  Same order
     // (increasing node id over the in-degree-0 nodes), one O(nodes) pass
-    // that replaces the root-list pass bulk init would have paid.
-    const std::int32_t n = nodes_[i];
+    // that replaces the root-list pass bulk init would have paid.  A
+    // gated job publishes its first block only.
+    const std::int32_t block = gate_block(i);
+    const std::int32_t n = block > 0 ? block : nodes_[i];
     const std::int32_t* pending = pending_.data() + off_[i];
     for (NodeId v = 0; v < n; ++v) {
       if (pending[static_cast<std::size_t>(v)] == 0) {
@@ -207,6 +217,39 @@ std::int32_t ReadyArena::activate(JobId j) {
     }
   }
   return len;
+}
+
+void ReadyArena::gate(JobId j, std::int32_t block) {
+  const std::size_t i = static_cast<std::size_t>(j);
+  OTSCHED_CHECK(i < off_.size(), "gate of unknown job " << j);
+  OTSCHED_CHECK(block > 0 && nodes_[i] % block == 0,
+                "job " << j << " of " << nodes_[i]
+                       << " nodes cannot be gated into blocks of " << block);
+  OTSCHED_DCHECK(ready_len_[i] == 0 && done_[i] == 0);
+  if (gates_.size() <= i) gates_.resize(i + 1);
+  gates_[i].block = block;
+  gates_[i].keys.reserve(static_cast<std::size_t>(nodes_[i] / block));
+}
+
+std::int32_t ReadyArena::close_gated_block(JobId j, NodeId last) {
+  const std::size_t i = static_cast<std::size_t>(j);
+  Gate& gate = gates_[i];
+  if (gate.block == 0) return 0;
+  OTSCHED_DCHECK(ready_len_[i] == 0);
+  gate.keys.push_back(last);
+  // Blocks close in order, so the executed nodes are exactly the closed
+  // blocks and the next block starts at done().
+  const std::int64_t first = done_[i];
+  if (first == nodes_[i]) return 0;
+  NodeId* ready = ready_.data() + off_[i];
+  NodeId* pos = pos_.data() + off_[i];
+  for (NodeId k = 0; k < gate.block; ++k) {
+    const NodeId v = static_cast<NodeId>(first) + k;
+    pos[static_cast<std::size_t>(v)] = k;
+    ready[static_cast<std::size_t>(k)] = v;
+  }
+  ready_len_[i] = gate.block;
+  return gate.block;
 }
 
 void ReadyArena::enable_commit_tracking() {
@@ -238,12 +281,17 @@ std::int64_t ReadyArena::rollback_to_checkpoint(const Dag& dag, JobId j) {
   // executed set, in increasing node id (the rollback determinism
   // contract in the header).  Committed sets are prefix-closed (they
   // snapshot a legal execution), so every restored node has all parents
-  // restored and a zeroed pending count is consistent.
+  // restored and a zeroed pending count is consistent.  A gated job
+  // committed every closed block when it closed, so only its open block
+  // is rebuilt; later blocks stay unpublished.
+  const std::int32_t block = gate_block(i);
+  const std::int64_t end =
+      block > 0 ? (committed_done_[i] / block + 1) * block : n;
   std::int32_t* pending = pending_.data() + base;
   NodeId* ready = ready_.data() + base;
   NodeId* pos = pos_.data() + base;
   std::int32_t len = 0;
-  for (NodeId v = 0; v < n; ++v) {
+  for (NodeId v = 0; v < end; ++v) {
     pos[static_cast<std::size_t>(v)] = kInvalidNode;
     if (is_executed(j, v)) {
       pending[static_cast<std::size_t>(v)] = 0;

@@ -17,6 +17,13 @@
 //     position), then appends newly-enabled children in dag.children(v)
 //     order;
 // i.e. exactly the order the seed engine produced, bit-for-bit.
+//   * a layer-gated job (ReadyArena::gate; only the Section 4 adaptive
+//     adversary in src/advsim submits one) is an edgeless DAG whose nodes
+//     form blocks of W consecutive ids.  Activation publishes block 0
+//     in increasing node id; when the last node of block k executes,
+//     close_block() publishes block k+1 in increasing node id.  Block
+//     releases are implicit commits under job faults, so a rollback
+//     rebuilds only the open block.
 #pragma once
 
 #include <cstdint>
@@ -175,6 +182,35 @@ class ReadyArena {
     return done_[static_cast<std::size_t>(j)];
   }
 
+  // ---- layer gate (the adaptive adversary, src/advsim) ----
+  //
+  // The adversary's rule -- layer k+1 of a job becomes ready only after
+  // every subjob of layer k ran, and the subjob that ran last is layer
+  // k's key -- as a per-job gate instead of DAG edges: a complete
+  // bipartite barrier would cost W^2 edges per layer.  The gate lives on
+  // the branch where execute() empties a job's ready region, which for
+  // an ungated job runs only when the job finishes.
+
+  /// Gates job j (appended, not yet activated; its DAG edgeless) into
+  /// blocks of `block` consecutive node ids.
+  void gate(JobId j, std::int32_t block);
+
+  /// Called once job j's ready region is empty, `last` being the node
+  /// whose execution emptied it.  For a gated job: crowns `last` as the
+  /// closed block's key and publishes the next block, returning its width
+  /// (0 after the final block).  Returns 0 for an ungated job.
+  std::int32_t close_block(JobId j, NodeId last) {
+    if (static_cast<std::size_t>(j) >= gates_.size()) return 0;
+    return close_gated_block(j, last);
+  }
+
+  /// Gated job j's keys so far, one per closed block (empty when
+  /// ungated).  Valid until retire(j).
+  std::span<const NodeId> keys(JobId j) const {
+    if (static_cast<std::size_t>(j) >= gates_.size()) return {};
+    return gates_[static_cast<std::size_t>(j)].keys;
+  }
+
   // ---- commit frontier (job faults; sim/job_faults.h) ----
   //
   // With commit tracking enabled the arena splits each job's progress
@@ -185,11 +221,12 @@ class ReadyArena {
   // and execute() is untouched — the no-lost-work-when-healthy contract
   // that keeps healthy runs bit-identical to the pre-refactor engine.
   //
-  // Rollback determinism contract (mirrored by ReferenceSimulate and
-  // advsim): rollback_to_checkpoint rebuilds the job's ready region in
+  // Rollback determinism contract (SimDriver + the ReferenceSimulate
+  // oracle): rollback_to_checkpoint rebuilds the job's ready region in
   // INCREASING NODE ID over the restored frontier (every uncommitted
-  // node whose parents are all committed) — the same canonical order
-  // activation uses, independent of the lost execution history.
+  // node whose parents are all committed; for a gated job, the open
+  // block's uncommitted nodes) — the same canonical order activation
+  // uses, independent of the lost execution history.
 
   /// Turns on commit tracking.  Call before the run executes anything;
   /// safe before or after init()/append() (later appends keep tracking).
@@ -230,6 +267,18 @@ class ReadyArena {
     std::int64_t size = 0;
   };
 
+  struct Gate {
+    std::int32_t block = 0;  // 0 = ungated
+    std::vector<NodeId> keys;
+  };
+
+  std::int32_t close_gated_block(JobId j, NodeId last);
+
+  /// Block width of job j, 0 when ungated.
+  std::int32_t gate_block(std::size_t j) const {
+    return j < gates_.size() ? gates_[j].block : 0;
+  }
+
   std::vector<std::int64_t> off_;        // job -> base node index
   std::vector<std::int32_t> nodes_;      // job -> region size (node count)
   std::vector<std::int32_t> pending_;    // pending predecessors per node
@@ -247,6 +296,10 @@ class ReadyArena {
   bool commit_tracking_ = false;
   std::vector<std::uint64_t> committed_;      // committed bitset, as executed_
   std::vector<std::int64_t> committed_done_;  // per-job committed count
+
+  // Layer gates, by job id; sized up to the last gated job only, so a
+  // run without gated jobs keeps it empty.
+  std::vector<Gate> gates_;
 };
 
 }  // namespace otsched

@@ -173,5 +173,27 @@ TEST(BatchRunner, RunSimulationsMatchesSerialRuns) {
   }
 }
 
+TEST(BatchRunner, CellsSharingAFreshInstanceFillJobMetricsOnce) {
+  // Every cell's Simulate reads the jobs' spans (Instance::max_span)
+  // from ONE freshly built Instance whose lazy metrics nobody has filled
+  // yet: the fill must be race-free (the sanitizer build runs this) and
+  // shared by every copy of a Job.
+  Instance instance;
+  for (int j = 0; j < 64; ++j) {
+    instance.add_job(Job(MakeChain(8 + j % 5), j));
+  }
+  const std::vector<Time> flows =
+      BatchRunner(4).Map<Time>(8, [&instance](std::size_t) {
+        auto fifo = MakePolicy("fifo/first-ready");
+        return Simulate(instance, 2, *fifo, FlowOnlyOptions()).flows.max_flow;
+      });
+  auto fifo = MakePolicy("fifo/first-ready");
+  const Time want = Simulate(instance, 2, *fifo).flows.max_flow;
+  for (const Time flow : flows) EXPECT_EQ(flow, want);
+
+  const Instance copy = instance;
+  EXPECT_EQ(&copy.job(3).metrics(), &instance.job(3).metrics());
+}
+
 }  // namespace
 }  // namespace otsched

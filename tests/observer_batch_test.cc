@@ -1,15 +1,14 @@
 // Tests for the batched SlotEvent delivery contract (sim/observer.h):
 // native on_slot_batch consumption and the default per-pick replay must
-// produce identical observations for every registry policy on every
-// engine, and the ring-buffer flush discipline (pre-execution, end of
-// slot, buffer-full) must hold down to a capacity of one record.
+// produce identical traces for every registry policy on every engine,
+// and the ring-buffer flush discipline (pre-execution, end of slot,
+// buffer-full) must hold down to a capacity of one record.
 #include "gtest_compat.h"
 
 #include <string>
 #include <vector>
 
 #include "advsim/adaptive.h"
-#include "common/metrics.h"
 #include "dag/builders.h"
 #include "gen/arrivals.h"
 #include "gen/random_trees.h"
@@ -131,14 +130,6 @@ TEST(BatchDelivery, NativeAndReplayedSinksAgreeForAllPolicies) {
       for (RecordMode record : {RecordMode::kFull, RecordMode::kFlowOnly}) {
         auto scheduler = spec.make(13);
 
-        MetricsObserver::Options metric_options;
-        metric_options.record_pick_times = false;  // nondeterministic
-        MetricsRegistry native_registry;
-        MetricsObserver native_metrics(native_registry, metric_options);
-        MetricsRegistry replayed_registry;
-        MetricsObserver replayed_target(replayed_registry, metric_options);
-        ReplayThroughFineHooks replayed_metrics(replayed_target);
-
         EventTrace native_trace;
         StreamingTraceObserver native_tracer(native_trace);
         EventTrace replayed_trace;
@@ -148,8 +139,6 @@ TEST(BatchDelivery, NativeAndReplayedSinksAgreeForAllPolicies) {
         // One run, both delivery styles attached: any divergence is the
         // adapter's fault, not run-to-run nondeterminism.
         ObserverList observers;
-        observers.add(&native_metrics);
-        observers.add(&replayed_metrics);
         observers.add(&native_tracer);
         observers.add(&replayed_tracer);
         SimOptions options;
@@ -163,8 +152,6 @@ TEST(BatchDelivery, NativeAndReplayedSinksAgreeForAllPolicies) {
                                   (record == RecordMode::kFull
                                        ? " [full]"
                                        : " [flow-only]");
-        EXPECT_EQ(native_registry.to_json(), replayed_registry.to_json())
-            << label;
         EXPECT_EQ(FirstDivergence(native_trace, replayed_trace), -1)
             << label;
         if (record == RecordMode::kFull) {
@@ -185,13 +172,6 @@ TEST(BatchDelivery, AdaptiveEngineAgreesAcrossDeliveryStyles) {
   options.num_jobs = 5;
   FifoScheduler fifo;
 
-  MetricsObserver::Options metric_options;
-  metric_options.record_pick_times = false;
-  MetricsRegistry native_registry;
-  MetricsObserver native_metrics(native_registry, metric_options);
-  MetricsRegistry replayed_registry;
-  MetricsObserver replayed_target(replayed_registry, metric_options);
-  ReplayThroughFineHooks replayed_metrics(replayed_target);
   EventTrace native_trace;
   StreamingTraceObserver native_tracer(native_trace);
   EventTrace replayed_trace;
@@ -199,8 +179,6 @@ TEST(BatchDelivery, AdaptiveEngineAgreesAcrossDeliveryStyles) {
   ReplayThroughFineHooks replayed_tracer(replayed_tracer_target);
 
   ObserverList observers;
-  observers.add(&native_metrics);
-  observers.add(&replayed_metrics);
   observers.add(&native_tracer);
   observers.add(&replayed_tracer);
   RunContext context;
@@ -208,7 +186,6 @@ TEST(BatchDelivery, AdaptiveEngineAgreesAcrossDeliveryStyles) {
   const AdaptiveAdversaryResult result =
       RunAdaptiveAdversary(fifo, options, context);
 
-  EXPECT_EQ(native_registry.to_json(), replayed_registry.to_json());
   EXPECT_EQ(FirstDivergence(native_trace, replayed_trace), -1);
   EXPECT_EQ(FirstDivergence(native_trace, DeriveTrace(result.full_schedule(),
                                                       result.instance)),
