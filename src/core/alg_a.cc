@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "dag/validate.h"
 
 namespace otsched {
 
@@ -36,39 +35,75 @@ void AlgAPlanner::add_batch(const SchedulerView& view,
   auto plan = std::make_unique<PlanJob>();
   plan->visible_release = visible_release;
 
-  // Build the union of the members' unexecuted sub-DAGs.
-  Dag::Builder builder;
+  // The union of the members' unexecuted sub-DAGs, built straight into
+  // CSR: members in order, each member's unexecuted nodes by increasing
+  // id, children in dag.children order.  A child runs only after all its
+  // parents, so a member's unexecuted part is closed under descendants:
+  // every plan node keeps its height in the whole job, and the job's
+  // cached metrics replace a per-batch metrics pass.
+  std::int64_t total = 0;
+  for (JobId id : members) total += view.remaining_work(id);
+  std::vector<std::int64_t> offsets;
+  std::vector<NodeId> targets;
+  std::vector<std::int32_t> height;
+  offsets.reserve(static_cast<std::size_t>(total) + 1);
+  targets.reserve(static_cast<std::size_t>(total));
+  height.reserve(static_cast<std::size_t>(total));
+  plan->refs.reserve(static_cast<std::size_t>(total));
+  offsets.push_back(0);
   for (JobId id : members) {
     const Dag& dag = view.dag(id);
-    std::vector<NodeId> plan_id(static_cast<std::size_t>(dag.node_count()),
-                                kInvalidNode);
-    bool any = false;
-    for (NodeId v = 0; v < dag.node_count(); ++v) {
-      if (view.executed(id, v)) continue;
-      plan_id[static_cast<std::size_t>(v)] = builder.add_node();
-      plan->refs.push_back(SubjobRef{id, v});
-      any = true;
-    }
-    for (NodeId v = 0; v < dag.node_count(); ++v) {
-      const NodeId pv = plan_id[static_cast<std::size_t>(v)];
-      if (pv == kInvalidNode) continue;
-      for (NodeId c : dag.children(v)) {
-        const NodeId pc = plan_id[static_cast<std::size_t>(c)];
-        OTSCHED_CHECK(pc != kInvalidNode,
-                      "executed child below unexecuted parent: job "
-                          << id << " edge " << v << "->" << c);
-        builder.add_edge(pv, pc);
+    const DagMetrics& metrics = view.metrics(id);
+    const auto base = static_cast<NodeId>(plan->refs.size());
+    if (view.done_work(id) == 0) {
+      // Untouched job: its plan copy is its own CSR shifted by `base`.
+      for (NodeId v = 0; v < dag.node_count(); ++v) {
+        plan->refs.push_back(SubjobRef{id, v});
+        for (NodeId c : dag.children(v)) targets.push_back(base + c);
+        offsets.push_back(static_cast<std::int64_t>(targets.size()));
+      }
+      height.insert(height.end(), metrics.height.begin(),
+                    metrics.height.end());
+    } else {
+      plan_id_.assign(static_cast<std::size_t>(dag.node_count()),
+                      kInvalidNode);
+      for (NodeId v = 0; v < dag.node_count(); ++v) {
+        if (view.executed(id, v)) continue;
+        plan_id_[static_cast<std::size_t>(v)] =
+            static_cast<NodeId>(plan->refs.size());
+        plan->refs.push_back(SubjobRef{id, v});
+      }
+      for (NodeId v = 0; v < dag.node_count(); ++v) {
+        if (plan_id_[static_cast<std::size_t>(v)] == kInvalidNode) continue;
+        for (NodeId c : dag.children(v)) {
+          const NodeId pc = plan_id_[static_cast<std::size_t>(c)];
+          OTSCHED_CHECK(pc != kInvalidNode,
+                        "executed child below unexecuted parent: job "
+                            << id << " edge " << v << "->" << c);
+          targets.push_back(pc);
+        }
+        offsets.push_back(static_cast<std::int64_t>(targets.size()));
+        height.push_back(metrics.height[static_cast<std::size_t>(v)]);
       }
     }
-    if (any) plan->members.push_back(id);
+    if (static_cast<NodeId>(plan->refs.size()) > base) {
+      plan->members.push_back(id);
+    }
   }
-  plan->dag = std::move(builder).build();
-  if (plan->dag.empty()) return;  // everything already executed
+  if (plan->refs.empty()) return;  // everything already executed
+  plan->dag = Dag::FromChildren(std::move(offsets), std::move(targets));
 
-  OTSCHED_CHECK(allow_general_dags_ || IsOutForest(plan->dag),
-                "Algorithm A requires out-forest jobs (Section 5); "
-                "enable allow_general_dags for the heuristic extension");
-  plan->lpf = BuildLpfSchedule(plan->dag, p_);
+  // Acyclicity comes from the members (their metrics would have aborted
+  // on a cycle), so the out-forest shape is one in-degree test per node:
+  // no node may have two unexecuted parents.
+  if (!allow_general_dags_) {
+    for (NodeId v = 0; v < plan->dag.node_count(); ++v) {
+      OTSCHED_CHECK(plan->dag.in_degree(v) <= 1,
+                    "Algorithm A requires out-forest jobs (Section 5); "
+                    "enable allow_general_dags for the heuristic extension");
+    }
+  }
+  plan->lpf = BuildLpfSchedule(plan->dag, height, p_);
   plan->remaining = plan->dag.node_count();
   batches_.push_back(std::move(plan));
 }
@@ -134,9 +169,9 @@ void AlgAPlanner::plan_slot(Time t, std::vector<SubjobRef>& out) {
                         << " plan=" << batch->remaining);
     }
     const int grant = std::min(available, p_);
-    std::vector<NodeId> nodes;
-    const int scheduled = batch->mc->step(grant, &nodes);
-    for (NodeId v : nodes) {
+    mc_picks_.clear();
+    const int scheduled = batch->mc->step(grant, &mc_picks_);
+    for (NodeId v : mc_picks_) {
       out.push_back(batch->refs[static_cast<std::size_t>(v)]);
     }
     batch->remaining -= scheduled;
@@ -146,20 +181,15 @@ void AlgAPlanner::plan_slot(Time t, std::vector<SubjobRef>& out) {
 }
 
 std::optional<Time> AlgAPlanner::oldest_unfinished_age(Time t) const {
-  for (const auto& batch : batches_) {
+  for (const auto& batch : active_batches()) {
     if (!batch->finished()) return t - batch->visible_release;
   }
   return std::nullopt;
 }
 
-bool AlgAPlanner::all_finished() const {
-  return std::all_of(batches_.begin(), batches_.end(),
-                     [](const auto& b) { return b->finished(); });
-}
-
 std::vector<JobId> AlgAPlanner::unfinished_members() const {
   std::vector<JobId> result;
-  for (const auto& batch : batches_) {
+  for (const auto& batch : active_batches()) {
     if (!batch->finished()) {
       result.insert(result.end(), batch->members.begin(),
                     batch->members.end());
@@ -170,18 +200,10 @@ std::vector<JobId> AlgAPlanner::unfinished_members() const {
 
 std::int64_t AlgAPlanner::mc_busy_violations() const {
   std::int64_t total = mc_busy_violations_;
-  for (const auto& batch : batches_) {
+  for (const auto& batch : active_batches()) {
     if (batch->mc) total += batch->mc->busy_violations();
   }
   return total;
-}
-
-void AlgAPlanner::clear() {
-  // Preserve the violation count across restarts for experiment reports.
-  for (const auto& batch : batches_) {
-    if (batch->mc) mc_busy_violations_ += batch->mc->busy_violations();
-  }
-  batches_.clear();
 }
 
 // --- Semi-batched scheduler -------------------------------------------

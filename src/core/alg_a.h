@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "core/lpf.h"
 #include "core/most_children.h"
@@ -63,17 +64,12 @@ class AlgAPlanner {
   /// nullopt if everything planned so far is finished.
   std::optional<Time> oldest_unfinished_age(Time t) const;
 
-  bool all_finished() const;
-
   /// Engine jobs belonging to unfinished batches (used by the restart in
   /// the guess-and-double wrapper).
   std::vector<JobId> unfinished_members() const;
 
   /// Total Lemma 5.5 busy violations across all MC replayers (0 expected).
   std::int64_t mc_busy_violations() const;
-
-  /// Drops all batches (guess-and-double restart).
-  void clear();
 
  private:
   struct PlanJob {
@@ -91,6 +87,11 @@ class AlgAPlanner {
   void replay_head_slot(PlanJob& job, Time lpf_slot,
                         std::vector<SubjobRef>& out, int& used);
 
+  /// Batches from first_active_ on; everything before is finished.
+  std::span<const std::unique_ptr<PlanJob>> active_batches() const {
+    return std::span(batches_).subspan(first_active_);
+  }
+
   int m_;
   int alpha_;
   int p_;
@@ -102,6 +103,10 @@ class AlgAPlanner {
   /// O(active batches) over long streams.
   std::size_t first_active_ = 0;
   std::int64_t mc_busy_violations_ = 0;
+  // Scratch reused across calls: job node -> plan node (add_batch of a
+  // partly executed member) and one MC step's picks (plan_slot).
+  std::vector<NodeId> plan_id_;
+  std::vector<NodeId> mc_picks_;
 };
 
 /// The super-clairvoyant semi-batched Algorithm A (Theorem 5.6): requires

@@ -27,9 +27,16 @@ std::int64_t JobSchedule::total() const {
   return sum;
 }
 
-JobSchedule BuildLpfSchedule(const Dag& dag, const DagMetrics& metrics,
-                             int p) {
+JobSchedule BuildLpfSchedule(const Dag& dag,
+                             std::span<const std::int32_t> height, int p) {
   OTSCHED_CHECK(p >= 1);
+  OTSCHED_CHECK(height.size() == static_cast<std::size_t>(dag.node_count()),
+                "LPF needs one height per node");
+  std::int64_t span = 0;
+  for (const std::int32_t h : height) {
+    OTSCHED_CHECK(h >= 1, "LPF heights must be positive, got " << h);
+    span = std::max<std::int64_t>(span, h);
+  }
   JobSchedule schedule;
   schedule.p = p;
   const NodeId n = dag.node_count();
@@ -40,50 +47,56 @@ JobSchedule BuildLpfSchedule(const Dag& dag, const DagMetrics& metrics,
   // Heights only decrease along edges, so children enabled by an execution
   // always land in buckets at or below the parent's — but selections for a
   // slot complete before enabling, so same-slot feasibility is automatic.
-  std::vector<std::vector<NodeId>> bucket(
-      static_cast<std::size_t>(metrics.span) + 1);
+  // Each bucket is a LIFO stack threaded through `next` (top = head[h]),
+  // so the whole bucket array is two allocations.
+  std::vector<NodeId> head(static_cast<std::size_t>(span) + 1, kInvalidNode);
+  std::vector<NodeId> next(static_cast<std::size_t>(n));
+  std::int64_t top = span;
+  const auto push = [&](NodeId v) {
+    const auto h = height[static_cast<std::size_t>(v)];
+    next[static_cast<std::size_t>(v)] = head[static_cast<std::size_t>(h)];
+    head[static_cast<std::size_t>(h)] = v;
+    top = std::max<std::int64_t>(top, h);
+  };
   PendingCounters pending;
   pending.init(dag);
-  for (NodeId v : pending.roots()) {
-    bucket[static_cast<std::size_t>(
-               metrics.height[static_cast<std::size_t>(v)])]
-        .push_back(v);
-  }
+  for (NodeId v : pending.roots()) push(v);
 
+  schedule.slots.reserve(static_cast<std::size_t>(n / p) + 1);
   std::int64_t executed = 0;
-  std::int64_t top = metrics.span;
   std::vector<NodeId> chosen;
   while (executed < n) {
     // Select up to p ready nodes of maximal height.
     chosen.clear();
     std::int64_t h = top;
     while (static_cast<int>(chosen.size()) < p && h >= 1) {
-      auto& b = bucket[static_cast<std::size_t>(h)];
-      while (!b.empty() && static_cast<int>(chosen.size()) < p) {
-        chosen.push_back(b.back());
-        b.pop_back();
+      NodeId& b = head[static_cast<std::size_t>(h)];
+      while (b != kInvalidNode && static_cast<int>(chosen.size()) < p) {
+        chosen.push_back(b);
+        b = next[static_cast<std::size_t>(b)];
       }
-      if (b.empty()) --h;
+      if (b == kInvalidNode) --h;
     }
     OTSCHED_CHECK(!chosen.empty(),
                   "LPF stalled with " << (n - executed) << " nodes left");
-    // Keep the cursor tight: everything above h is now empty.
-    top = h < 1 ? metrics.span : h;
+    // Keep the cursor tight: everything above h is now empty (all of it
+    // when h < 1; the completions below raise it again).
+    top = std::max<std::int64_t>(h, 0);
 
     schedule.slots.emplace_back(chosen);
     const Time slot = schedule.length();
     for (NodeId v : chosen) {
       schedule.slot_of[static_cast<std::size_t>(v)] = slot;
       ++executed;
-      pending.complete(dag, v, [&](NodeId c) {
-        const auto hc = static_cast<std::size_t>(
-            metrics.height[static_cast<std::size_t>(c)]);
-        bucket[hc].push_back(c);
-        top = std::max<std::int64_t>(top, static_cast<std::int64_t>(hc));
-      });
+      pending.complete(dag, v, push);
     }
   }
   return schedule;
+}
+
+JobSchedule BuildLpfSchedule(const Dag& dag, const DagMetrics& metrics,
+                             int p) {
+  return BuildLpfSchedule(dag, metrics.height, p);
 }
 
 JobSchedule BuildLpfSchedule(const Dag& dag, int p) {

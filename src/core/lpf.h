@@ -16,6 +16,7 @@
 // replayer (most_children.h) and Algorithm A (alg_a.h) consume.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,14 @@ struct JobSchedule {
 /// Builds the LPF schedule of `dag` on p >= 1 processors.  Works for any
 /// DAG (heights are well-defined); the optimality guarantees hold for
 /// out-forests.
+///
+/// `height[v]` must be v's height in `dag`.  Heights are only read,
+/// never derived, so a caller that already knows them skips the metrics
+/// pass: Algorithm A plans the unexecuted remainder of a job, which is
+/// closed under descendants, so every remaining node keeps its height in
+/// the whole job.
+JobSchedule BuildLpfSchedule(const Dag& dag,
+                             std::span<const std::int32_t> height, int p);
 JobSchedule BuildLpfSchedule(const Dag& dag, const DagMetrics& metrics,
                              int p);
 JobSchedule BuildLpfSchedule(const Dag& dag, int p);

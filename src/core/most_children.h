@@ -57,9 +57,23 @@ class MostChildrenReplayer {
   Time now_ = 0;
   std::int64_t remaining_ = 0;
 
-  // Per S-level, the unprocessed nodes sorted by (static) count of
-  // children in the next S-level, descending.
-  std::vector<std::vector<NodeId>> level_nodes_;
+  std::size_t level_count() const { return level_cursor_.size(); }
+  /// Moves level `level`'s cursor past its executed front entries and
+  /// returns it; the level is finished iff that reaches level_end().
+  std::size_t skip_executed(std::size_t level);
+  std::size_t level_end(std::size_t level) const {
+    return level_begin_[level + 1];
+  }
+
+  // The S-levels back to back: level k (0-based) is
+  // level_nodes_[level_begin_[k], level_begin_[k + 1]), sorted by
+  // (static) count of children in the next S-level, descending.  Nodes
+  // are never removed; level_cursor_[k] only skips the executed front of
+  // level k, and scans skip executed entries behind it, so the surviving
+  // order is the sorted order.
+  std::vector<NodeId> level_nodes_;
+  std::vector<std::size_t> level_begin_;
+  std::vector<std::size_t> level_cursor_;
   std::size_t min_level_ = 0;  // 0-based index of earliest unfinished level
   std::vector<char> executed_;
   // Readiness via incremental pending-predecessor counters (sim/ready_state):

@@ -66,6 +66,44 @@ Dag Dag::Builder::build() && {
   return dag;
 }
 
+Dag Dag::FromChildren(std::vector<std::int64_t> child_offsets,
+                      std::vector<NodeId> child_targets) {
+  Dag dag;
+  if (child_offsets.size() <= 1) {
+    OTSCHED_CHECK(child_targets.empty());
+    return dag;
+  }
+  const auto n = static_cast<NodeId>(child_offsets.size() - 1);
+  OTSCHED_CHECK(child_offsets.front() == 0 &&
+                    child_offsets.back() ==
+                        static_cast<std::int64_t>(child_targets.size()),
+                "children CSR offsets do not span the targets");
+  // Counting sort by target; sources are visited in increasing id order,
+  // so each parent list comes out sorted.
+  dag.parent_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const NodeId c : child_targets) {
+    OTSCHED_CHECK(c >= 0 && c < n, "edge target " << c);
+    ++dag.parent_offsets_[static_cast<std::size_t>(c) + 1];
+  }
+  for (std::size_t i = 1; i < dag.parent_offsets_.size(); ++i) {
+    dag.parent_offsets_[i] += dag.parent_offsets_[i - 1];
+  }
+  dag.parent_targets_.resize(child_targets.size());
+  std::vector<std::int64_t> cursor(dag.parent_offsets_.begin(),
+                                   dag.parent_offsets_.end() - 1);
+  for (NodeId v = 0; v < n; ++v) {
+    for (std::int64_t e = child_offsets[static_cast<std::size_t>(v)];
+         e < child_offsets[static_cast<std::size_t>(v) + 1]; ++e) {
+      const auto c = static_cast<std::size_t>(
+          child_targets[static_cast<std::size_t>(e)]);
+      dag.parent_targets_[static_cast<std::size_t>(cursor[c]++)] = v;
+    }
+  }
+  dag.child_offsets_ = std::move(child_offsets);
+  dag.child_targets_ = std::move(child_targets);
+  return dag;
+}
+
 std::vector<NodeId> Dag::roots() const {
   std::vector<NodeId> result;
   for (NodeId v = 0; v < node_count(); ++v) {

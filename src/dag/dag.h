@@ -52,6 +52,15 @@ class Dag {
 
   Dag() = default;
 
+  /// Builds a DAG straight from its children CSR: node v's children are
+  /// child_targets[child_offsets[v], child_offsets[v + 1]), so
+  /// child_offsets has node_count() + 1 nondecreasing entries starting at
+  /// 0 (or none, for the empty DAG).  The parents CSR is derived with every parent
+  /// list in increasing id order — what Builder yields for the same
+  /// edges added in source order.  Like Builder, no acyclicity check.
+  static Dag FromChildren(std::vector<std::int64_t> child_offsets,
+                          std::vector<NodeId> child_targets);
+
   NodeId node_count() const { return static_cast<NodeId>(child_offsets_.empty() ? 0 : child_offsets_.size() - 1); }
   std::int64_t edge_count() const { return static_cast<std::int64_t>(child_targets_.size()); }
   bool empty() const { return node_count() == 0; }

@@ -15,6 +15,8 @@
 #include <utility>
 
 #include "common/assert.h"
+#include "dag/validate.h"
+#include "sched/registry.h"
 #include "serve/protocol.h"
 
 namespace otsched::serve {
@@ -68,6 +70,10 @@ ScheduleServer::ScheduleServer(ServeOptions options,
                                std::unique_ptr<Scheduler> scheduler)
     : options_(std::move(options)),
       scheduler_(std::move(scheduler)),
+      needs_out_forests_([this] {
+        const PolicySpec* spec = FindPolicy(options_.policy);
+        return spec != nullptr && spec->needs_out_forests;
+      }()),
       driver_(options_.m, *scheduler_, RunContext(FlowOnlyStreamOptions())) {
   OTSCHED_CHECK(scheduler_ != nullptr, "serve: null scheduler");
   OTSCHED_CHECK(options_.chunk_slots >= 1);
@@ -615,6 +621,15 @@ void ScheduleServer::process_lines(Connection& conn) {
     // adopt the in-flight job, or drop the duplicate — never run a
     // second copy.
     if (!request->tag.empty() && adopt_recovered(conn, request->tag)) {
+      continue;
+    }
+    if (needs_out_forests_ && !IsOutForest(request->dag)) {
+      // Algorithm A's planner requires out-forests and would abort the
+      // whole daemon; refuse the job before it is journaled.
+      registry_.counter("serve.rejected_shapes").inc();
+      conn.out += FormatErrorReply(
+          "job is not an out-forest (" + DescribeShape(request->dag) +
+          "); policy " + options_.policy + " requires out-forest jobs");
       continue;
     }
     if (options_.max_pending_jobs > 0 &&

@@ -224,6 +224,9 @@ class ScheduleServer {
 
   ServeOptions options_;
   std::unique_ptr<Scheduler> scheduler_;
+  /// The policy aborts on non-out-forest jobs (Algorithm A), so such
+  /// submissions are refused at admission instead.
+  bool needs_out_forests_ = false;
   MetricsRegistry registry_;
   SimDriver driver_;
 

@@ -11,22 +11,11 @@ Schedule::Schedule(int m) : m_(m) {
   offsets_.push_back(0);
 }
 
-void Schedule::place(Time slot, SubjobRef ref) {
+void Schedule::stage(Time slot, SubjobRef ref) {
   OTSCHED_CHECK(slot >= 1, "slots are 1-based, got " << slot);
-  // Arena horizon = highest slot the CSR table covers.
-  const Time arena_horizon = static_cast<Time>(offsets_.size()) - 1;
-  if (staged_.empty() && slot >= arena_horizon) {
-    // Sequential hot path: engines place into nondecreasing slots, so
-    // this is a plain append to the arena tail.
-    if (slot > arena_horizon) {
-      offsets_.resize(static_cast<std::size_t>(slot) + 1,
-                      static_cast<std::int64_t>(entries_.size()));
-    }
-    entries_.push_back(ref);
-    offsets_.back() = static_cast<std::int64_t>(entries_.size());
-  } else {
-    staged_.emplace_back(slot, ref);
-  }
+  // Once staging starts every placement stages, so per-slot call order
+  // survives the merge.
+  staged_.emplace_back(slot, ref);
   ++total_placed_;
   horizon_ = std::max(horizon_, slot);
 }

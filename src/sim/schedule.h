@@ -13,6 +13,7 @@
 // the first read.  Per-slot call order is preserved either way.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <utility>
@@ -32,8 +33,24 @@ class Schedule {
 
   /// Places `ref` into `slot` (slot >= 1).  Capacity and feasibility are
   /// checked by ScheduleValidator, not here, so that tests can build
-  /// deliberately-broken schedules.
-  void place(Time slot, SubjobRef ref);
+  /// deliberately-broken schedules.  Inline: engines place every executed
+  /// subjob of a full-record run, always into nondecreasing slots, which
+  /// is a plain append to the arena tail.
+  void place(Time slot, SubjobRef ref) {
+    const Time arena_horizon = static_cast<Time>(offsets_.size()) - 1;
+    if (slot < 1 || slot < arena_horizon || !staged_.empty()) {
+      stage(slot, ref);
+      return;
+    }
+    if (slot > arena_horizon) {
+      offsets_.resize(static_cast<std::size_t>(slot) + 1,
+                      static_cast<std::int64_t>(entries_.size()));
+      horizon_ = std::max(horizon_, slot);
+    }
+    entries_.push_back(ref);
+    offsets_.back() = static_cast<std::int64_t>(entries_.size());
+    ++total_placed_;
+  }
 
   /// Last slot with any subjob (0 for the empty schedule).
   Time horizon() const { return horizon_; }
@@ -59,6 +76,10 @@ class Schedule {
       const;
 
  private:
+  /// The out-of-order side of place(): checks the slot and buffers the
+  /// placement for the next flatten().
+  void stage(Time slot, SubjobRef ref);
+
   /// Merges `staged_` into the CSR arena (no-op when already flat).
   /// Lazily invoked by readers; logically const, hence the mutables.
   void flatten() const;

@@ -63,6 +63,34 @@ TEST(DagBuilder, AddNodesBulk) {
   EXPECT_EQ(builder.node_count(), 8);
 }
 
+TEST(DagFromChildren, MatchesBuilderWithSourceOrderedEdges) {
+  // A diamond plus a join of three parents; children lists deliberately
+  // not sorted.
+  const std::vector<std::vector<NodeId>> children = {
+      {2, 1}, {3, 5}, {3, 5}, {}, {5}, {}};
+  Dag::Builder builder(static_cast<NodeId>(children.size()));
+  std::vector<std::int64_t> offsets{0};
+  std::vector<NodeId> targets;
+  for (NodeId v = 0; v < static_cast<NodeId>(children.size()); ++v) {
+    for (NodeId c : children[static_cast<std::size_t>(v)]) {
+      builder.add_edge(v, c);
+      targets.push_back(c);
+    }
+    offsets.push_back(static_cast<std::int64_t>(targets.size()));
+  }
+  const Dag expected = std::move(builder).build();
+  const Dag dag = Dag::FromChildren(std::move(offsets), std::move(targets));
+  ASSERT_EQ(dag.node_count(), expected.node_count());
+  EXPECT_EQ(dag.edge_count(), expected.edge_count());
+  for (NodeId v = 0; v < dag.node_count(); ++v) {
+    EXPECT_TRUE(std::ranges::equal(dag.children(v), expected.children(v)))
+        << v;
+    EXPECT_TRUE(std::ranges::equal(dag.parents(v), expected.parents(v)))
+        << v;
+  }
+  EXPECT_TRUE(Dag::FromChildren({}, {}).empty());
+}
+
 TEST(DisjointUnion, CombinesAndOffsets) {
   std::vector<Dag> parts;
   parts.push_back(MakeChain(3));

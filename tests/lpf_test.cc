@@ -1,12 +1,16 @@
 // Tests for core/lpf.h: Lemma 5.3 / Corollary 5.4 optimality, the
 // alpha-competitiveness of LPF[m/alpha], and the Lemma 5.2 / Figure 2
 // head/tail shape.
-#include <gtest/gtest.h>
+#include "gtest_compat.h"
 
+#include "core/alg_a.h"
 #include "core/lpf.h"
 #include "dag/builders.h"
+#include "dag/metrics.h"
 #include "dag/validate.h"
 #include "gen/random_trees.h"
+#include "gen/recursive.h"
+#include "gen/series_parallel.h"
 #include "opt/brute_force.h"
 #include "opt/single_batch.h"
 #include "sim/validator.h"
@@ -163,6 +167,116 @@ TEST(Lpf, OutForestInputSupported) {
   const Time opt = SingleBatchOpt(forest, 4);
   const JobSchedule s = BuildLpfSchedule(forest, 4);
   EXPECT_EQ(s.length(), opt);
+}
+
+// ---- Height reuse (Algorithm A's planner) ----
+
+/// Runs a random ancestor-closed prefix of `dag` (each step executes one
+/// uniformly chosen ready node) and returns the executed flags.
+std::vector<char> RandomExecutedPrefix(const Dag& dag, Rng& rng) {
+  const NodeId n = dag.node_count();
+  std::vector<char> executed(static_cast<std::size_t>(n), 0);
+  std::vector<NodeId> pending(static_cast<std::size_t>(n));
+  std::vector<NodeId> ready;
+  for (NodeId v = 0; v < n; ++v) {
+    pending[static_cast<std::size_t>(v)] = dag.in_degree(v);
+    if (dag.in_degree(v) == 0) ready.push_back(v);
+  }
+  const auto steps = rng.next_in_range(0, n);
+  for (std::int64_t step = 0; step < steps && !ready.empty(); ++step) {
+    const auto pick = static_cast<std::size_t>(
+        rng.next_in_range(0, static_cast<std::int64_t>(ready.size()) - 1));
+    const NodeId v = ready[pick];
+    ready[pick] = ready.back();
+    ready.pop_back();
+    executed[static_cast<std::size_t>(v)] = 1;
+    for (NodeId c : dag.children(v)) {
+      if (--pending[static_cast<std::size_t>(c)] == 0) ready.push_back(c);
+    }
+  }
+  return executed;
+}
+
+/// The remainder's heights taken from the WHOLE job must give the same
+/// LPF schedule, slot for slot, as metrics computed on the remainder.
+void ExpectHeightReuseMatches(const Dag& dag, int p, Rng& rng) {
+  const DagMetrics job = ComputeMetrics(dag);
+  const std::vector<char> executed = RandomExecutedPrefix(dag, rng);
+  std::vector<NodeId> sub_id(static_cast<std::size_t>(dag.node_count()),
+                             kInvalidNode);
+  Dag::Builder builder;
+  std::vector<std::int32_t> height;
+  for (NodeId v = 0; v < dag.node_count(); ++v) {
+    if (executed[static_cast<std::size_t>(v)]) continue;
+    sub_id[static_cast<std::size_t>(v)] = builder.add_node();
+    height.push_back(job.height[static_cast<std::size_t>(v)]);
+  }
+  for (NodeId v = 0; v < dag.node_count(); ++v) {
+    if (sub_id[static_cast<std::size_t>(v)] == kInvalidNode) continue;
+    for (NodeId c : dag.children(v)) {
+      ASSERT_NE(sub_id[static_cast<std::size_t>(c)], kInvalidNode);
+      builder.add_edge(sub_id[static_cast<std::size_t>(v)],
+                       sub_id[static_cast<std::size_t>(c)]);
+    }
+  }
+  const Dag sub = std::move(builder).build();
+  const JobSchedule reused = BuildLpfSchedule(sub, height, p);
+  const JobSchedule oracle = BuildLpfSchedule(sub, p);
+  EXPECT_EQ(reused.slots, oracle.slots);
+  EXPECT_EQ(reused.slot_of, oracle.slot_of);
+}
+
+TEST(LpfHeightReuse, RemainderOfOutForestsKeepsJobHeights) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const auto family = static_cast<TreeFamily>(seed % 4);
+    const Dag forest =
+        seed % 2 == 0 ? MakeTree(family, 150, rng)
+                      : MakeRandomForest(150, 5, 0.4, rng);
+    for (int p : {1, 3, 8}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " p " << p);
+      ExpectHeightReuseMatches(forest, p, rng);
+    }
+  }
+}
+
+TEST(LpfHeightReuse, RemainderOfGeneralDagsKeepsJobHeights) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    SeriesParallelOptions sp;
+    sp.size = 120;
+    const Dag dag = seed % 2 == 0 ? MakeSeriesParallelDag(sp, rng)
+                                  : MakeMapReducePipeline(5, 12, rng);
+    for (int p : {1, 3, 8}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " p " << p);
+      ExpectHeightReuseMatches(dag, p, rng);
+    }
+  }
+}
+
+TEST(LpfHeightReuseDeath, PlannerRefusesTwoUnexecutedParents) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  // One batch: an out-tree and a "V" (two roots joined in one child).
+  // The union's node with two unexecuted parents must be refused.
+  Instance instance;
+  instance.add_job(Job(MakeCompleteTree(2, 3), 0));
+  Dag::Builder v_shape(3);
+  v_shape.add_edge(0, 2);
+  v_shape.add_edge(1, 2);
+  instance.add_job(Job(std::move(v_shape).build(), 0));
+  AlgASemiBatchedScheduler::Options options;
+  options.known_opt = 4;
+  AlgASemiBatchedScheduler scheduler(options);
+  EXPECT_DEATH(Simulate(instance, 4, scheduler), "out-forest");
+}
+
+TEST(LpfHeightReuseDeath, RefusesNonPositiveHeights) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  // The buckets are indexed by height, so a bad height must stop LPF
+  // before it writes outside them.
+  const Dag chain = MakeChain(3);
+  const std::vector<std::int32_t> height = {3, 0, 1};
+  EXPECT_DEATH(BuildLpfSchedule(chain, height, 2), "heights must be positive");
 }
 
 // ---- GlobalLpfScheduler ----

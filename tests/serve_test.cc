@@ -313,6 +313,40 @@ TEST(ServeIntegration, HttpEndpointsAndErrorReplies) {
   EXPECT_EQ(running.server().jobs_finished(), 2);
 }
 
+TEST(ServeIntegration, NonOutForestIsRejectedAndTheDaemonKeepsServing) {
+  // The default policy is Algorithm A, which needs out-forest jobs; a
+  // diamond used to abort the whole daemon inside the planner.
+  serve::ServeOptions options;
+  options.listen = "127.0.0.1:0";
+  options.m = 4;
+  ASSERT_EQ(options.policy, "alg-a/general");
+  RunningServer running(options);
+  ASSERT_TRUE(running.started());
+
+  TestClient client(running.server().address());
+  ASSERT_TRUE(client.connected());
+  client.send_all("{\"id\":\"diamond\",\"release\":0,\"nodes\":4,"
+                  "\"edges\":[[0,1],[0,2],[1,3],[2,3]]}\n");
+  const auto err = client.read_lines(1);
+  ASSERT_EQ(err.size(), 1u);
+  EXPECT_NE(err[0].find("\"error\""), std::string::npos) << err[0];
+  EXPECT_NE(err[0].find("not an out-forest"), std::string::npos) << err[0];
+
+  client.send_all("{\"id\":\"tree\",\"release\":0,\"parents\":[-1,0,0,1]}\n");
+  const auto ok = client.read_lines(1);
+  ASSERT_EQ(ok.size(), 1u);
+  EXPECT_NE(ok[0].find("\"id\": \"tree\""), std::string::npos) << ok[0];
+  EXPECT_NE(ok[0].find("\"flow\""), std::string::npos) << ok[0];
+
+  running.stop();
+  EXPECT_EQ(running.server().jobs_submitted(), 1);
+  EXPECT_EQ(running.server().jobs_finished(), 1);
+  const auto& counters = running.server().registry().counters();
+  const auto rejected = counters.find("serve.rejected_shapes");
+  ASSERT_NE(rejected, counters.end());
+  EXPECT_EQ(rejected->second.value(), 1);
+}
+
 TEST(ServeIntegration, NoNewlineFloodIsBoundedAndRejected) {
   serve::ServeOptions options;
   options.listen = "127.0.0.1:0";
